@@ -16,17 +16,18 @@ import (
 // and a long sliding window on the 60s grid of those. Unoptimized, every
 // query shares one group cut at the 1s gcd and assembles from fine slices;
 // optimized, each tier consumes the previous tier's merged supers. The
-// experiment runs both plans over the same stream under all three assembly
-// strategies and reports events/s, window-emission throughput, the exact
-// partial-merge count (operator.CountMerges), and an order-independent
-// result hash proving the rewrite changed nothing.
+// experiment runs both plans over the same stream with the two-stacks
+// assembly index and with the naive re-fold, and reports events/s,
+// window-emission throughput, the exact partial-merge count
+// (operator.CountMerges), and an order-independent result hash proving the
+// rewrite changed nothing.
 
 // factorSpanMS is the event-time span of one run: long enough for dozens of
 // 600s windows so the depth-3 tier does real work.
 const factorSpanMS = 3_600_000
 
-// FactorPoint is one assembly strategy measured with the optimizer off and
-// on over the identical stream.
+// FactorPoint is one assembly index measured with the optimizer off and on
+// over the identical stream.
 type FactorPoint struct {
 	Assembly string `json:"assembly"`
 	// OffEventsPerSec / OnEventsPerSec are end-to-end ingest throughputs.
@@ -56,7 +57,7 @@ type FactorReport struct {
 	ChainDepth int           `json:"chain_depth"`
 	Queries    []string      `json:"queries"`
 	Points     []FactorPoint `json:"points"`
-	// AllHashesEqual is true when every leg (3 assemblies x on/off) emitted
+	// AllHashesEqual is true when every leg (2 assemblies x on/off) emitted
 	// the same window multiset.
 	AllHashesEqual bool `json:"all_hashes_equal"`
 }
@@ -82,7 +83,7 @@ func factorQueries() []query.Query {
 
 // factorRun measures one leg. Values are small integers so every aggregate
 // is exact in float64 and the result hash is independent of merge order.
-func factorRun(events int, asm core.AssemblyKind, optimize bool) (evPerSec, winPerSec float64, merges, windows, hash uint64, err error) {
+func factorRun(events int, naive, optimize bool) (evPerSec, winPerSec float64, merges, windows, hash uint64, err error) {
 	qs := factorQueries()
 	groups, err := query.Analyze(qs, query.Options{Optimize: optimize})
 	if err != nil {
@@ -91,8 +92,8 @@ func factorRun(events int, asm core.AssemblyKind, optimize bool) (evPerSec, winP
 	var h uint64
 	var wins uint64
 	e := core.New(groups, core.Config{
-		Assembly: asm,
-		Optimize: optimize,
+		NaiveAssembly: naive,
+		Optimize:      optimize,
 		OnResult: func(r core.Result) {
 			h += cardinalityResultHash(r)
 			wins++
@@ -134,18 +135,14 @@ func RunFactorReport(cfg Config) (*FactorReport, error) {
 	var refHash uint64
 	var haveRef bool
 	for _, asm := range []struct {
-		name string
-		kind core.AssemblyKind
-	}{
-		{"two-stacks", core.AssemblyTwoStacks},
-		{"daba", core.AssemblyDABA},
-		{"naive", core.AssemblyNaive},
-	} {
-		offEv, offWin, offMerges, offWins, offHash, err := factorRun(events, asm.kind, false)
+		name  string
+		naive bool
+	}{{"two-stacks", false}, {"naive", true}} {
+		offEv, offWin, offMerges, offWins, offHash, err := factorRun(events, asm.naive, false)
 		if err != nil {
 			return nil, err
 		}
-		onEv, onWin, onMerges, onWins, onHash, err := factorRun(events, asm.kind, true)
+		onEv, onWin, onMerges, onWins, onHash, err := factorRun(events, asm.naive, true)
 		if err != nil {
 			return nil, err
 		}
@@ -186,7 +183,7 @@ func Factor(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Table{ID: "factor", Title: "Factor-window rewrite: depth-3 chain, optimizer off vs on", XLabel: "assembly (0=two-stacks 1=daba 2=naive)", YLabel: "windows/s | merge ratio"}
+	t := &Table{ID: "factor", Title: "Factor-window rewrite: depth-3 chain, optimizer off vs on", XLabel: "assembly (0=two-stacks 1=naive)", YLabel: "windows/s | merge ratio"}
 	for i, p := range rep.Points {
 		x := float64(i)
 		t.Add("off-win/s", x, p.OffWindowsPerSec)

@@ -523,7 +523,7 @@ func (e *Engine) Stats() Stats {
 // recordAssembly feeds the window-assembly latency histogram with one
 // sample per punctuation boundary: the time to assemble and emit every
 // member window ending there, which is the delay the last result of the
-// boundary observes (and where a strategy's rebuild bursts surface). t0 is
+// boundary observes (and where the two-stacks rebuild bursts surface). t0 is
 // zero when telemetry is unattached (see groupState.beginAssembly).
 func (e *Engine) recordAssembly(t0 time.Time) {
 	if !t0.IsZero() {

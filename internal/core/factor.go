@@ -10,8 +10,8 @@ import (
 // placement decision, plan/optimize.go the wire validation). A fed group
 // ingests no raw events: its feeder merges the closed slices of one full
 // feed period into a single "super-slice" at every period boundary and
-// appends it to the fed group's ring, where the ordinary assembly machinery
-// (two-stacks, DABA-Lite, or naive) folds supers instead of raw slices. The
+// appends it to the fed group's ring, where the ordinary assembly index
+// (two-stacks, or the naive reference) folds supers instead of raw slices. The
 // fed group's windows are slide-aligned multiples of the period, so every
 // window boundary falls on a super edge and the assembled results are
 // identical to the unrewritten plan's — with length/period merges per

@@ -69,7 +69,7 @@ type groupState struct {
 	nextSliceID   uint64
 
 	closed  []sliceRec    // closed slices, monotone in start and startCount
-	idx     assemblyIndex // pre-aggregates over closed (assembly.go strategy seam)
+	idx     assemblyIndex // pre-aggregates over closed (assembly.go)
 	pending *SlicePartial
 	scratch operator.Agg
 	runs    [][]float64        // scratch run list for value merging
@@ -175,7 +175,7 @@ func newGroupShell(e *Engine, g *query.Group) *groupState {
 			gs.feedPeriod = g.FeedPeriod
 		}
 	}
-	gs.idx = newAssemblyIndex(e.cfg.Assembly)
+	gs.idx = newAssemblyIndex(e.cfg.NaiveAssembly)
 	gs.refreshOOO()
 	// The callbacks close over gs once; per-punctuation state (the current
 	// boundary) travels through gs fields rather than fresh captures.

@@ -15,7 +15,8 @@ import (
 // the results: a disordered stream whose lateness stays within the horizon
 // produces exactly the windows of the same stream sorted by timestamp and
 // fed to a strict in-order engine. These tests check that differentially
-// under every assembly strategy, so each index's commitLate repair runs.
+// with the two-stacks index and the naive reference, so both indexes'
+// commitLate repair runs.
 
 // randomTimeQuery draws a time-measured tumbling or sliding query — the
 // window types the out-of-order commit supports (count, session, and
@@ -84,17 +85,17 @@ func TestOOOCommitDifferential(t *testing.T) {
 				sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].Time < sorted[j].Time })
 				want := runEngine(t, queries, sorted, advTo, Config{})
 
-				for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive} {
+				for _, naive := range []bool{false, true} {
 					groups, err := query.Analyze(queries, query.Options{})
 					if err != nil {
 						t.Fatalf("Analyze: %v", err)
 					}
-					e := New(groups, Config{Assembly: asm, ReorderHorizon: horizon})
+					e := New(groups, Config{NaiveAssembly: naive, ReorderHorizon: horizon})
 					e.ProcessBatch(evs)
 					e.AdvanceTo(advTo)
 					st := e.Stats()
 					if st.LateDropped != 0 {
-						t.Fatalf("assembly %v: %d late events dropped; all disorder was within the horizon", asm, st.LateDropped)
+						t.Fatalf("naive=%v: %d late events dropped; all disorder was within the horizon", naive, st.LateDropped)
 					}
 					totalLate += st.LateCommits
 					compareResults(t, e.Results(), want)
@@ -129,22 +130,22 @@ func TestOOOCommitInsertsSlice(t *testing.T) {
 	}
 	const advTo = 20_000
 
-	for _, asm := range []AssemblyKind{AssemblyTwoStacks, AssemblyDABA, AssemblyNaive} {
+	for _, naive := range []bool{false, true} {
 		groups, err := query.Analyze(qs, query.Options{})
 		if err != nil {
 			t.Fatalf("Analyze: %v", err)
 		}
-		e := New(groups, Config{Assembly: asm, ReorderHorizon: 300})
+		e := New(groups, Config{NaiveAssembly: naive, ReorderHorizon: 300})
 		for _, ev := range evs {
 			e.Process(ev)
 		}
 		e.AdvanceTo(advTo)
 		st := e.Stats()
 		if st.LateCommits != 3 {
-			t.Errorf("assembly %v: LateCommits = %d, want 3", asm, st.LateCommits)
+			t.Errorf("naive=%v: LateCommits = %d, want 3", naive, st.LateCommits)
 		}
 		if st.LateDropped != 0 {
-			t.Errorf("assembly %v: LateDropped = %d, want 0", asm, st.LateDropped)
+			t.Errorf("naive=%v: LateDropped = %d, want 0", naive, st.LateDropped)
 		}
 
 		sorted := append([]event.Event(nil), evs...)

@@ -236,7 +236,7 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 	if err := readSlice(r, &g.cur); err != nil {
 		return err
 	}
-	nc := int(r.u32())
+	nc := r.count(sliceRecMinBytes)
 	g.closed = g.closed[:0]
 	for i := 0; i < nc && r.err == nil; i++ {
 		var s sliceRec
@@ -249,7 +249,7 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 	have := r.bool()
 	g.sessions.SetState(readDynamic(r), lastEv, have)
 	g.ud.SetState(readDynamic(r))
-	nd := int(r.u32())
+	nd := r.count(16)
 	if nd > 0 && g.dedup == nil {
 		g.dedup = make(map[dedupKey]struct{}, nd)
 	}
@@ -259,7 +259,7 @@ func (g *groupState) restoreBody(r *snapReader, grow []query.GroupQuery) error {
 	}
 	g.emittedBound = int64(r.u64())
 	g.deferred = g.deferred[:0]
-	for i, n := 0, int(r.u32()); i < n && r.err == nil; i++ {
+	for i, n := 0, r.count(8); i < n && r.err == nil; i++ {
 		g.deferred = append(g.deferred, int64(r.u64()))
 	}
 	g.fedBound = int64(r.u64())
@@ -278,7 +278,7 @@ func readSlice(r *snapReader, s *sliceRec) error {
 	s.startCount = int64(r.u64())
 	s.endCount = int64(r.u64())
 	s.lastEvent = int64(r.u64())
-	n := int(r.u32())
+	n := r.count(1) // an encoded aggregate is at least its ops byte
 	s.aggs = make([]operator.Agg, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		rest, err := operator.DecodeAgg(r.buf, &s.aggs[i])
@@ -294,7 +294,7 @@ func readSlice(r *snapReader, s *sliceRec) error {
 }
 
 func readDynamic(r *snapReader) []windowDynamicState {
-	n := int(r.u32())
+	n := r.count(13)
 	out := make([]windowDynamicState, 0, n)
 	for i := 0; i < n && r.err == nil; i++ {
 		out = append(out, windowDynamicState{
@@ -364,4 +364,20 @@ func (r *snapReader) u64() uint64 {
 func (r *snapReader) bool() bool {
 	b := r.take(1)
 	return b != nil && b[0] == 1
+}
+
+// sliceRecMinBytes is the smallest encoding of a slice: five u64 bounds and
+// a u32 aggregate count.
+const sliceRecMinBytes = 5*8 + 4
+
+// count reads a u32 element count and rejects one that the remaining bytes
+// cannot hold at minBytes per element, so a corrupt count fails the restore
+// instead of sizing a huge allocation.
+func (r *snapReader) count(minBytes int) int {
+	n := int(r.u32())
+	if r.err == nil && n > len(r.buf)/minBytes {
+		r.err = fmt.Errorf("core: snapshot claims %d elements in %d bytes", n, len(r.buf))
+		return 0
+	}
+	return n
 }

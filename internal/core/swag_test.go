@@ -10,14 +10,14 @@ import (
 	"desis/internal/query"
 )
 
-// The assembly indexes (swag.go, daba.go) must be pure optimizations: for
-// any query mix over any stream, the engine answers identically under every
-// Config.Assembly strategy. These tests run randomized workloads through
-// three engines — two-stacks (default), DABA-Lite, and the naive one
-// re-folding every covering slice — and require matching results. Sum- and
+// The two-stacks assembly index (swag.go) must be a pure optimization: for
+// any query mix over any stream, the engine answers identically with and
+// without it. These tests run randomized workloads through two engines —
+// two-stacks (default) and the naive one re-folding every covering slice
+// (Config.NaiveAssembly) — and require matching results. Sum- and
 // product-derived functions compare with the usual float tolerance (the
-// indexes fold slices in different association orders); order statistics
-// are exact.
+// two fold slices in different association orders); order statistics are
+// exact.
 
 // randomFuncs draws 1–3 aggregation functions covering every operator class.
 func randomFuncs(rng *rand.Rand) []operator.FuncSpec {
@@ -121,19 +121,17 @@ func randomAssemblyStream(rng *rand.Rand, n int) ([]event.Event, int64) {
 	return evs, t + 10_000
 }
 
-func differentialConfigs(seed int64) (indexed, daba, naive Config) {
-	// Odd seeds prune aggressively so the indexes' dropFront/reset paths run;
-	// even seeds keep the default retention. All engines must prune alike —
+func differentialConfigs(seed int64) (indexed, naive Config) {
+	// Odd seeds prune aggressively so the index's dropFront/reset paths run;
+	// even seeds keep the default retention. Both engines must prune alike —
 	// pruning itself is correctness-neutral, but identical retention keeps
 	// the engines' emission order trivially comparable.
 	if seed%2 == 1 {
 		indexed.PruneThreshold = 8
-		daba.PruneThreshold = 8
 		naive.PruneThreshold = 8
 	}
-	daba.Assembly = AssemblyDABA
-	naive.Assembly = AssemblyNaive
-	return indexed, daba, naive
+	naive.NaiveAssembly = true
+	return indexed, naive
 }
 
 func TestAssemblyDifferential(t *testing.T) {
@@ -151,10 +149,9 @@ func TestAssemblyDifferential(t *testing.T) {
 				queries = append(queries, q)
 			}
 			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, dabaCfg, naiveCfg := differentialConfigs(seed)
+			idxCfg, naiveCfg := differentialConfigs(seed)
 			want := runEngine(t, queries, evs, advTo, naiveCfg)
 			compareResults(t, runEngine(t, queries, evs, advTo, idxCfg), want)
-			compareResults(t, runEngine(t, queries, evs, advTo, dabaCfg), want)
 		})
 	}
 }
@@ -176,7 +173,7 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 				added = append(added, randomQuery(rng, uint64(100+i)))
 			}
 			evs, advTo := randomAssemblyStream(rng, 2000)
-			idxCfg, dabaCfg, naiveCfg := differentialConfigs(seed)
+			idxCfg, naiveCfg := differentialConfigs(seed)
 
 			run := func(cfg Config) []Result {
 				groups, err := query.Analyze(initial, query.Options{})
@@ -196,7 +193,6 @@ func TestAssemblyDifferentialRuntimeAdd(t *testing.T) {
 			}
 			want := run(naiveCfg)
 			compareResults(t, run(idxCfg), want)
-			compareResults(t, run(dabaCfg), want)
 		})
 	}
 }

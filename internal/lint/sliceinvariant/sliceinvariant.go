@@ -1,15 +1,14 @@
 // Package sliceinvariant enforces the engine's slicing contracts: the
-// structural invariants the assembly indexes (two-stacks in
-// internal/core/swag.go, DABA-Lite in internal/core/daba.go) and the
-// closed-slice ring rest on are only maintained if mutation stays
-// confined to the documented mutation points. The analyzer guards the state
-// fields of core.groupState, core.sliceRec, core.sliceIndex, core.dabaIndex,
-// the identity
-// fields of core.SlicePartial, the shared query.Group descriptor, and the
-// epoch-versioned plan.Plan catalog, and the key-space tier's sharded
-// instance maps and free lists (internal/core/keyspace.go): every
-// assignment, compound assignment, increment/decrement, or address-taking of
-// a guarded field outside its allow-listed writer functions is reported.
+// structural invariants the two-stacks assembly index
+// (internal/core/swag.go) and the closed-slice ring rest on are only
+// maintained if mutation stays confined to the documented mutation points.
+// The analyzer guards the state fields of core.groupState, core.sliceRec,
+// core.sliceIndex, the identity fields of core.SlicePartial, the shared
+// query.Group descriptor, and the epoch-versioned plan.Plan catalog, and
+// the key-space tier's sharded instance maps and free lists
+// (internal/core/keyspace.go): every assignment, compound assignment,
+// increment/decrement, or address-taking of a guarded field outside its
+// allow-listed writer functions is reported.
 // Writes *through* a guarded map or slice field — `x.m[k] = v`,
 // `delete(x.m, k)`, `x.s[i]++` — count as writes to the field; taking the
 // address of an element (`&x.s[i]`) does not, so read-side shard-pointer
@@ -67,11 +66,6 @@ var DefaultRules = []Rule{
 		Type:          corePkg + ".sliceIndex",
 		AllowRecvType: corePkg + ".sliceIndex",
 		Message:       "the prefix/suffix assembly index is derived state owned by its own methods (swag.go); mutate the ring and let the index rebuild",
-	},
-	{
-		Type:          corePkg + ".dabaIndex",
-		AllowRecvType: corePkg + ".dabaIndex",
-		Message:       "the DABA-Lite sweeps are derived state owned by their own methods (daba.go); mutate the ring and let appendSlice/commitLate keep the sweeps in step",
 	},
 	{
 		Type:   corePkg + ".groupState",

@@ -41,6 +41,9 @@ type Batch struct {
 	// probe, when attached by a Batcher, gates compression adaptively with
 	// a measured per-link ratio probe instead of the static Compress flag.
 	probe *compressProbe
+	// scratch, when attached by a Batcher, is the encoder state that all of
+	// its batches share; a batch without one encodes with a fresh scratch.
+	scratch *batchScratch
 }
 
 // batch body flags.
@@ -57,11 +60,12 @@ const minDeflateSize = 256
 // batchScratch holds the encoder's reusable state: the staging payload,
 // the partial/dictionary work lists, and the deflate machinery (a
 // flate.Writer is ~600 KiB of window state — reallocating it per batch
-// dwarfed the batch itself). Scratches recycle through a sync.Pool rather
-// than living on the Batcher because replayed KindBatch frames are
+// dwarfed the batch itself). Each Batcher owns one and attaches it to its
+// batches. mu serializes its encoders: replayed KindBatch frames are
 // re-encoded by whichever goroutine is reconnecting, concurrently with the
 // pump encoding fresh batches.
 type batchScratch struct {
+	mu       sync.Mutex
 	payload  []byte
 	partials []*core.SlicePartial
 	dict     []uint32
@@ -69,19 +73,22 @@ type batchScratch struct {
 	fw       *flate.Writer
 }
 
-var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
 // appendBatchBody appends the columnar encoding of b (flags byte plus
 // payload) shared by the Binary and Compact codecs. Steady-state it
-// allocates nothing: all staging space comes from the scratch pool.
+// allocates nothing: all staging space comes from the batch's scratch.
 //
 //desis:hotpath
 func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
-	s := scratchPool.Get().(*batchScratch)
+	s := b.scratch
+	if s == nil {
+		//lint:ignore hotalloc only batches no Batcher built (tests, tools) get here
+		s = &batchScratch{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	payload, err := appendBatchPayload(s.payload[:0], s, b)
 	s.payload = payload // keep the grown buffer for the next batch
 	if err != nil {
-		scratchPool.Put(s)
 		return nil, err
 	}
 	try := b.Compress
@@ -98,13 +105,11 @@ func appendBatchBody(buf []byte, b *Batch) ([]byte, error) {
 		if len(comp) < len(payload)*15/16 {
 			buf = append(buf, batchFlagDeflate)
 			buf = append(buf, comp...)
-			scratchPool.Put(s)
 			return buf, nil
 		}
 	}
 	buf = append(buf, 0)
 	buf = append(buf, payload...)
-	scratchPool.Put(s)
 	return buf, nil
 }
 
@@ -333,7 +338,7 @@ func appendBatchPayload(buf []byte, s *batchScratch, b *Batch) ([]byte, error) {
 	return buf, nil
 }
 
-// stashPartials zeroes and stores back the partial work list so a pooled
+// stashPartials zeroes and stores back the partial work list so a
 // scratch does not pin a batch's worth of partials between batches.
 //
 //desis:hotpath

@@ -497,14 +497,15 @@ func FuzzDecodeBatch(f *testing.F) {
 }
 
 // TestAppendBatchBodySteadyStateAllocs enforces the //desis:hotpath contract
-// dynamically: once the scratch pool is warm and the destination buffer has
-// its capacity, encoding a batch performs zero heap allocations.
+// dynamically: once the batch's scratch is warm and the destination buffer
+// has its capacity, encoding a batch performs zero heap allocations.
 func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("desis_invariants builds trade allocations for verification")
 	}
 	rng := rand.New(rand.NewSource(7))
 	b := randomBatch(rng, 40)
+	b.scratch = &batchScratch{} // as a Batcher attaches its own
 	buf, err := appendBatchBody(nil, b)
 	if err != nil {
 		t.Fatal(err)
@@ -519,4 +520,44 @@ func TestAppendBatchBodySteadyStateAllocs(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("appendBatchBody allocates %.1f times per batch in steady state, want 0", avg)
 	}
+}
+
+// TestBatchScratchConcurrentEncode encodes batches that share one scratch
+// from several goroutines at once, as a reconnect replay does alongside the
+// pump: every encoding must equal the one made alone.
+func TestBatchScratchConcurrentEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	shared := &batchScratch{}
+	var batches []*Batch
+	var want [][]byte
+	for i := 0; i < 4; i++ {
+		b := randomBatch(rng, 10+10*i)
+		b.Compress = i%2 == 1
+		enc, err := appendBatchBody(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.scratch = shared
+		batches = append(batches, b)
+		want = append(want, enc)
+	}
+	var wg sync.WaitGroup
+	for i := range batches {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 50; n++ {
+				enc, err := appendBatchBody(nil, batches[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if string(enc) != string(want[i]) {
+					t.Errorf("batch %d: concurrent encoding differs from the serial one", i)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

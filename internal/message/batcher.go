@@ -157,7 +157,8 @@ type Batcher struct {
 	from uint32
 	opts BatcherOptions
 
-	probe *compressProbe
+	probe   *compressProbe
+	scratch *batchScratch
 
 	// sendNanos is the EWMA of recent transmission times (α=1/4, atomic so
 	// Send's fast-path check stays lock-cheap). Starts at zero: a fresh link
@@ -189,11 +190,12 @@ type Batcher struct {
 // frames, from the caller's). from stamps the batches' sender id.
 func NewBatcher(send func(*Message) error, from uint32, opts BatcherOptions) *Batcher {
 	b := &Batcher{
-		send:  send,
-		from:  from,
-		opts:  opts.withDefaults(),
-		probe: newCompressProbe(opts.Compress),
-		done:  make(chan struct{}),
+		send:    send,
+		from:    from,
+		opts:    opts.withDefaults(),
+		probe:   newCompressProbe(opts.Compress),
+		scratch: &batchScratch{},
+		done:    make(chan struct{}),
 	}
 	b.cond = sync.NewCond(&b.mu)
 	b.pumpCond = sync.NewCond(&b.mu)
@@ -379,7 +381,7 @@ func (b *Batcher) run() {
 			// to the unbatched protocol when there is nothing to coalesce.
 			m = frames[0]
 		} else {
-			m = &Message{Kind: KindBatch, From: b.from, Batch: &Batch{Frames: frames, probe: b.probe}}
+			m = &Message{Kind: KindBatch, From: b.from, Batch: &Batch{Frames: frames, probe: b.probe, scratch: b.scratch}}
 		}
 		start := time.Now()
 		err := b.send(m)

@@ -380,6 +380,7 @@ func (a *Assembler) assemble(rg *rootGroup, idx int, ws, we int64) {
 	}
 	a.onResult(core.Result{
 		QueryID: m.ID,
+		Key:     m.Key,
 		Start:   ws,
 		End:     we,
 		Count:   rg.scratch.CountV,

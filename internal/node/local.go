@@ -68,9 +68,6 @@ type EngineTuning struct {
 	// InstanceShards is the key→instance map shard count; 0 selects the
 	// engine default.
 	InstanceShards int
-	// Assembly selects the window-assembly index (core.Config.Assembly);
-	// the zero value is the two-stacks default.
-	Assembly core.AssemblyKind
 }
 
 // NewLocalFromPlanTuned is NewLocalFromPlan with explicit engine tuning.
@@ -84,7 +81,6 @@ func NewLocalFromPlanTuned(id uint32, p *plan.Plan, parent message.Conn, batchSi
 		OnSlice:        l.sendPartial,
 		InstanceTTL:    tune.InstanceTTL,
 		InstanceShards: tune.InstanceShards,
-		Assembly:       tune.Assembly,
 	})
 	l.rebuildForward()
 	return l

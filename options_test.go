@@ -1,7 +1,6 @@
 package desis
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -13,47 +12,6 @@ import (
 func timeQuery(id uint64) Query {
 	return Query{ID: id, Pred: All(), Type: Sliding, Measure: Time, Length: 2000, Slide: 1000,
 		Funcs: []FuncSpec{{Func: Sum}}}
-}
-
-// TestNaiveAssemblyConflict pins every combination of the deprecated
-// NaiveAssembly flag with an explicit Assembly: redundant spellings stay
-// accepted, a contradiction is a construction error naming both fields.
-func TestNaiveAssemblyConflict(t *testing.T) {
-	cases := []struct {
-		name    string
-		opts    Options
-		wantErr bool
-	}{
-		{"deprecated-only", Options{NaiveAssembly: true}, false},
-		{"deprecated-plus-matching", Options{NaiveAssembly: true, Assembly: AssemblyNaive}, false},
-		{"deprecated-plus-default", Options{NaiveAssembly: true, Assembly: AssemblyTwoStacks}, false},
-		{"deprecated-vs-daba", Options{NaiveAssembly: true, Assembly: AssemblyDABA}, true},
-		{"explicit-only", Options{Assembly: AssemblyDABA}, false},
-	}
-	queries := []Query{timeQuery(1)}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			_, err := NewEngine(queries, tc.opts)
-			if tc.wantErr {
-				if err == nil {
-					t.Fatal("NewEngine accepted a contradictory NaiveAssembly/Assembly combination")
-				}
-				if !strings.Contains(err.Error(), "NaiveAssembly") || !strings.Contains(err.Error(), "Assembly") {
-					t.Fatalf("error does not name both conflicting fields: %v", err)
-				}
-			} else if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			// The parallel facade funnels through the same validation.
-			p, perr := NewParallelEngine(queries, 2, tc.opts)
-			if (perr != nil) != tc.wantErr {
-				t.Fatalf("NewParallelEngine err=%v, want error=%v", perr, tc.wantErr)
-			}
-			if p != nil {
-				p.Close()
-			}
-		})
-	}
 }
 
 // TestReorderHorizonShapeValidation: a horizon that EVERY configured query
