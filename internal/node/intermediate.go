@@ -85,6 +85,10 @@ func (n *Intermediate) HandleLocked(m *message.Message) error {
 func (n *Intermediate) AddChild(id uint32)    { n.merger.AddChild(id) }
 func (n *Intermediate) RemoveChild(id uint32) { n.merger.RemoveChild(id) }
 
+// ExpectChildren holds merging until n distinct children have joined
+// (Merger.ExpectChildren). Call before serving traffic.
+func (n *Intermediate) ExpectChildren(c int) { n.merger.ExpectChildren(c) }
+
 // AddChildLocked and RemoveChildLocked take the node's mutex, for use
 // alongside HandleLocked from concurrent per-child goroutines.
 func (n *Intermediate) AddChildLocked(id uint32) {

@@ -38,6 +38,10 @@ type Merger struct {
 	// completed slice are dropped instead of re-merged. Entries are
 	// garbage-collected as the watermark advances.
 	emitted map[mergeKey]bool
+	// joined holds every child id that ever joined; until quorum of them
+	// have, nothing is emitted (see ExpectChildren).
+	joined map[uint32]bool
+	quorum int
 
 	// Telemetry (nil-safe no-ops when unattached): merge latency is the
 	// time from a slice extent's first contribution to its emission, and
@@ -73,12 +77,25 @@ func NewMerger(children []uint32) *Merger {
 		children: make(map[uint32]*childState),
 		pending:  make(map[mergeKey]*mergeEntry),
 		emitted:  make(map[mergeKey]bool),
+		joined:   make(map[uint32]bool),
 	}
 	for _, id := range children {
 		m.children[id] = &childState{watermark: -1}
+		m.joined[id] = true
 	}
 	return m
 }
+
+// ExpectChildren holds the merge back until n distinct children have
+// joined: before that no slice completes early, the watermark does not
+// advance, and the departure of the last child flushes nothing. A child
+// that connects after a faster sibling has already finished its stream
+// thus still contributes to every window. Servers that know their fan-out
+// call this before accepting children.
+func (m *Merger) ExpectChildren(n int) { m.quorum = n }
+
+// quorate reports whether every expected child has joined at least once.
+func (m *Merger) quorate() bool { return len(m.joined) >= m.quorum }
 
 // AttachTelemetry registers the merger's instruments (merge.latency,
 // merge.dup_dropped) in reg and labels trace events with traceName.
@@ -93,6 +110,7 @@ func (m *Merger) AttachTelemetry(reg *telemetry.Registry, traceName string) {
 // AddChild registers a child joining at runtime (§3.2).
 func (m *Merger) AddChild(id uint32) {
 	m.children[id] = &childState{watermark: m.watermark}
+	m.joined[id] = true
 }
 
 // RemoveChild drops a child (node loss / removal): slices waiting for it can
@@ -101,7 +119,7 @@ func (m *Merger) AddChild(id uint32) {
 // newest slice end, so downstream windows close.
 func (m *Merger) RemoveChild(id uint32) {
 	delete(m.children, id)
-	if len(m.children) == 0 {
+	if len(m.children) == 0 && m.quorate() {
 		if m.maxEnd > m.watermark {
 			m.watermark = m.maxEnd
 		}
@@ -153,7 +171,7 @@ func (m *Merger) HandlePartial(from uint32, p *core.SlicePartial) {
 		e.from[from] = true
 		mergePartial(e.p, p)
 	}
-	if len(e.from) >= len(m.children) {
+	if len(e.from) >= len(m.children) && m.quorate() {
 		delete(m.pending, k)
 		m.emitted[k] = true
 		m.emitEntry(e)
@@ -190,7 +208,7 @@ func (m *Merger) advance() {
 			first = false
 		}
 	}
-	if first || min <= m.watermark {
+	if first || min <= m.watermark || !m.quorate() {
 		return
 	}
 	m.watermark = min

@@ -186,3 +186,7 @@ func (r *Root) RemoveQuery(id uint64) error {
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2).
 func (r *Root) AddChild(id uint32)    { r.merger.AddChild(id) }
 func (r *Root) RemoveChild(id uint32) { r.merger.RemoveChild(id) }
+
+// ExpectChildren holds result emission until n distinct children have
+// joined (Merger.ExpectChildren).
+func (r *Root) ExpectChildren(n int) { r.merger.ExpectChildren(n) }

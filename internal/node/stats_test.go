@@ -191,6 +191,13 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 		})
 	}()
 	waitUntil(t, 10*time.Second, "root watermark 1000", func() bool { return root.Watermark() >= 1000 })
+	// Heartbeats only flow once a link has idled a full period, so wait for
+	// a digest from each child before the freeze cuts the victim off.
+	waitUntil(t, 10*time.Second, "heartbeat digests from both children", func() bool {
+		root.mu.Lock()
+		defer root.mu.Unlock()
+		return root.loads[1] != nil && root.loads[2] != nil
+	})
 
 	// Cut the survivor's link once (reconnects pass through), then freeze
 	// the victim for good: stats requests to it will never be answered.

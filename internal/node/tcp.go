@@ -151,6 +151,7 @@ func ServeRootOptions(addr string, queries []query.Query, nChildren int, timeout
 	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: !opts.NoOptimize})
 	s.root = NewRootFromPlan(p, nil, opts.OnResult)
 	s.root.AttachTelemetry(s.tel, "root")
+	s.root.ExpectChildren(nChildren)
 	go s.acceptLoop()
 	return s, nil
 }
@@ -581,6 +582,7 @@ func ServeIntermediateOptions(addr, parentAddr string, id uint32, nChildren int,
 	}
 	s.inter = NewIntermediate(id, nil, up)
 	s.inter.AttachTelemetry(tel, fmt.Sprintf("inter.%d", id))
+	s.inter.ExpectChildren(nChildren)
 	up.AttachTelemetry(tel)
 	up.SetEpochFn(func() uint64 {
 		s.qmu.Lock()
