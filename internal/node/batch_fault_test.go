@@ -30,11 +30,11 @@ func TestFaultSeverMidBatchReplay(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 5*time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 5*time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,14 @@ package node
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"desis/internal/core"
 	"desis/internal/event"
+	"desis/internal/message"
 	"desis/internal/query"
 )
 
@@ -20,15 +22,15 @@ func TestTCPRuntimeControl(t *testing.T) {
 
 	var mu sync.Mutex
 	perQuery := map[uint64]int{}
-	root, err := ServeRoot("127.0.0.1:0", []query.Query{base}, 1, 5*time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, 5*time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		perQuery[r.QueryID]++
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inter, err := ServeIntermediate("127.0.0.1:0", root.Addr(), 1001, 1, 5*time.Second, nil)
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 1, 5*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +59,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 		controlErr <- Control(root.Addr(), nil, nil, 2)
 	}()
 
-	err = RunLocalTCP(inter.Addr(), 1, 64, nil, func(l *LocalSession) error {
+	err = RunLocalTCPOptions(inter.Addr(), 1, 64, DialOptions{}, func(l *LocalSession) error {
 		feed := func(lo, hi int) error {
 			for i := lo; i < hi; i++ {
 				if err := l.Process([]event.Event{{Time: int64(i * 10), Value: 1}}); err != nil {
@@ -135,7 +137,7 @@ func TestTCPRuntimeControl(t *testing.T) {
 func TestControlRejectsBadCommands(t *testing.T) {
 	base := query.MustParse("tumbling(100ms) sum key=0")
 	base.ID = 1
-	root, err := ServeRoot("127.0.0.1:0", []query.Query{base}, 1, time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +150,38 @@ func TestControlRejectsBadCommands(t *testing.T) {
 	bad := query.Query{ID: 7, Pred: query.All(), Type: query.Tumbling} // no funcs
 	if err := Control(root.Addr(), nil, &bad, 0); err == nil {
 		t.Error("invalid query accepted")
+	}
+}
+
+// TestRootRejectsControlOnChildStream: catalog changes reach the root only
+// from control clients, which broadcast them down the tree. A child that
+// sends KindAddQuery on its data stream is a stream error — the root's
+// epoch stays put and Wait reports it.
+func TestRootRejectsControlOnChildStream(t *testing.T) {
+	base := query.MustParse("tumbling(100ms) sum key=0")
+	base.ID = 1
+	root, err := ServeRootOptions("127.0.0.1:0", []query.Query{base}, 1, 5*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	added := query.MustParse("tumbling(200ms) sum key=0")
+	added.ID = 2
+	c := dialRawChild(t, root.Addr(), 1)
+	if err := c.conn.Send(&message.Message{Kind: message.KindAddQuery, From: 1, Queries: []query.Query{added}}); err != nil {
+		t.Fatal(err)
+	}
+	c.goodbye(1)
+	c.conn.Close()
+
+	err = root.Wait()
+	if err == nil || !strings.Contains(err.Error(), "child 1 stream") {
+		t.Errorf("Wait: %v, want the child's stream error", err)
+	}
+	root.mu.Lock()
+	epoch := root.root.Epoch()
+	root.mu.Unlock()
+	if epoch != 0 {
+		t.Fatalf("root epoch %d after a child-sent add-query, want 0", epoch)
 	}
 }

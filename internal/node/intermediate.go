@@ -80,17 +80,13 @@ func (n *Intermediate) HandleLocked(m *message.Message) error {
 	return n.Handle(m)
 }
 
-// AddChild and RemoveChild adjust the expected child set at runtime (§3.2).
-// They are unsynchronised; concurrent servers use the Locked variants.
-func (n *Intermediate) AddChild(id uint32)    { n.merger.AddChild(id) }
-func (n *Intermediate) RemoveChild(id uint32) { n.merger.RemoveChild(id) }
-
 // ExpectChildren holds merging until n distinct children have joined
 // (Merger.ExpectChildren). Call before serving traffic.
 func (n *Intermediate) ExpectChildren(c int) { n.merger.ExpectChildren(c) }
 
-// AddChildLocked and RemoveChildLocked take the node's mutex, for use
-// alongside HandleLocked from concurrent per-child goroutines.
+// AddChildLocked and RemoveChildLocked adjust the expected child set at
+// runtime (§3.2) behind the node's mutex, for use alongside HandleLocked
+// from concurrent per-child goroutines.
 func (n *Intermediate) AddChildLocked(id uint32) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

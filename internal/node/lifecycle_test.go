@@ -58,11 +58,11 @@ func TestHeartbeatKeepsIdleChildAlive(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 3*hb, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 3*hb, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,18 +136,22 @@ func (c *rawChild) goodbye(id uint32) {
 	}
 }
 
+// lifecycleCase scripts child id 1 against a parent; the holder (id 99) is
+// managed by the test harness around it.
+type lifecycleCase struct {
+	name        string
+	timeout     time.Duration
+	script      func(t *testing.T, addr string)
+	wantEvicted []uint32
+}
+
 // TestChildIDLifecycle is the table-driven duplicate/reconnect/eviction
-// matrix: each case scripts child id 1 against a root that also has a
-// well-behaved holder child, then checks Wait's verdict and the eviction set.
+// matrix: each case scripts child id 1 against a parent that also has a
+// well-behaved holder child, then checks Wait's verdict and the eviction
+// set. Root and intermediate run the same parent-side code, so every case
+// runs with each of them as the parent.
 func TestChildIDLifecycle(t *testing.T) {
-	cases := []struct {
-		name    string
-		timeout time.Duration
-		// script drives child id 1; the holder (id 99) is managed by the
-		// test harness around it.
-		script      func(t *testing.T, addr string)
-		wantEvicted []uint32
-	}{
+	cases := []lifecycleCase{
 		{
 			name:    "disconnect then sequential reconnect",
 			timeout: 400 * time.Millisecond,
@@ -194,57 +198,84 @@ func TestChildIDLifecycle(t *testing.T) {
 	}
 
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
-			queries[0].ID = 1
-			root, err := ServeRoot("127.0.0.1:0", queries, 2, tc.timeout, nil, func(core.Result) {})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer root.Close()
-			holder := dialRawChild(t, root.Addr(), 99)
-			hbStop := make(chan struct{})
-			var hbWG sync.WaitGroup
-			hbWG.Add(1)
-			go func() { // keep the holder alive across slow scripts
-				defer hbWG.Done()
-				tick := time.NewTicker(tc.timeout / 4)
-				defer tick.Stop()
-				for {
-					select {
-					case <-hbStop:
-						return
-					case <-tick.C:
-						_ = holder.conn.Send(&message.Message{Kind: message.KindHeartbeat, From: 99})
-					}
-				}
-			}()
+		t.Run(tc.name, func(t *testing.T) { runLifecycleCase(t, tc, false) })
+		t.Run("intermediate "+tc.name, func(t *testing.T) { runLifecycleCase(t, tc, true) })
+	}
+}
 
-			tc.script(t, root.Addr())
-
-			close(hbStop)
-			hbWG.Wait()
-			holder.goodbye(99)
-			holder.conn.Close()
-
-			err = root.Wait()
-			if len(tc.wantEvicted) == 0 {
-				if err != nil {
-					t.Fatalf("Wait: %v, want nil", err)
-				}
-				if ev := root.Evicted(); len(ev) != 0 {
-					t.Fatalf("evicted %v, want none", ev)
-				}
+// runLifecycleCase runs tc against a root, or with viaIntermediate against
+// an intermediate whose own parent is a root that must finish cleanly.
+func runLifecycleCase(t *testing.T, tc lifecycleCase, viaIntermediate bool) {
+	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
+	queries[0].ID = 1
+	rootChildren, rootTimeout := 2, tc.timeout
+	if viaIntermediate {
+		rootChildren, rootTimeout = 1, 10*time.Second
+	}
+	root, err := ServeRootOptions("127.0.0.1:0", queries, rootChildren, rootTimeout, RootServeOptions{OnResult: func(core.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	var parent interface {
+		Addr() string
+		Wait() error
+		Evicted() []uint32
+	} = root
+	if viaIntermediate {
+		inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 2, tc.timeout, DialOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer inter.Close()
+		parent = inter
+	}
+	holder := dialRawChild(t, parent.Addr(), 99)
+	hbStop := make(chan struct{})
+	var hbWG sync.WaitGroup
+	hbWG.Add(1)
+	go func() { // keep the holder alive across slow scripts
+		defer hbWG.Done()
+		tick := time.NewTicker(tc.timeout / 4)
+		defer tick.Stop()
+		for {
+			select {
+			case <-hbStop:
 				return
+			case <-tick.C:
+				_ = holder.conn.Send(&message.Message{Kind: message.KindHeartbeat, From: 99})
 			}
-			var ee *EvictionError
-			if !errors.As(err, &ee) {
-				t.Fatalf("Wait: %v, want EvictionError", err)
-			}
-			if fmt.Sprint(ee.IDs) != fmt.Sprint(tc.wantEvicted) {
-				t.Fatalf("evicted %v, want %v", ee.IDs, tc.wantEvicted)
-			}
-		})
+		}
+	}()
+
+	tc.script(t, parent.Addr())
+
+	close(hbStop)
+	hbWG.Wait()
+	holder.goodbye(99)
+	holder.conn.Close()
+
+	err = parent.Wait()
+	if viaIntermediate {
+		if rerr := root.Wait(); rerr != nil {
+			t.Errorf("root.Wait: %v, want nil above an intermediate that said goodbye", rerr)
+		}
+	}
+	if len(tc.wantEvicted) == 0 {
+		if err != nil {
+			t.Fatalf("Wait: %v, want nil", err)
+		}
+		if ev := parent.Evicted(); len(ev) != 0 {
+			t.Fatalf("evicted %v, want none", ev)
+		}
+		return
+	}
+	var ee *EvictionError
+	if !errors.As(err, &ee) {
+		t.Fatalf("Wait: %v, want EvictionError", err)
+	}
+	if fmt.Sprint(ee.IDs) != fmt.Sprint(tc.wantEvicted) {
+		t.Fatalf("evicted %v, want %v", ee.IDs, tc.wantEvicted)
 	}
 }
 
@@ -257,11 +288,11 @@ func TestUplinkReconnectResumes(t *testing.T) {
 	queries[0].ID = 1
 	var mu sync.Mutex
 	var results []core.Result
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, time.Second, nil, func(r core.Result) {
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, time.Second, RootServeOptions{OnResult: func(r core.Result) {
 		mu.Lock()
 		results = append(results, r)
 		mu.Unlock()
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -322,7 +353,7 @@ func TestUplinkReconnectResumes(t *testing.T) {
 func TestUplinkRetriesExhausted(t *testing.T) {
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
 	queries[0].ID = 1
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}

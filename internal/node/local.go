@@ -42,15 +42,6 @@ type Local struct {
 	err error
 }
 
-// NewLocal builds a local node for the analyzed groups, sending to parent.
-// batchSize controls how many RootOnly events are coalesced per message.
-// The groups are deep-copied into the node's own plan, so several nodes of
-// an in-process topology can be built from one analyzed set.
-func NewLocal(id uint32, groups []*query.Group, parent message.Conn, batchSize int) *Local {
-	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: true}).Clone()
-	return NewLocalFromPlan(id, p, parent, batchSize)
-}
-
 // NewLocalFromPlan builds a local node from an execution plan (e.g. one
 // received in a handshake), taking ownership of it.
 func NewLocalFromPlan(id uint32, p *plan.Plan, parent message.Conn, batchSize int) *Local {

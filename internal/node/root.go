@@ -34,15 +34,6 @@ type Root struct {
 	wm       int64
 }
 
-// NewRoot builds a root for the analyzed groups, expecting the given child
-// node ids. It takes ownership of the group pointers (they become the
-// authoritative plan's catalog). The factor-window optimizer is left on; use
-// NewRootFromPlan to control it.
-func NewRoot(groups []*query.Group, children []uint32, onResult func(core.Result)) *Root {
-	p := plan.FromGroups(groups, plan.Options{Decentralized: true, Optimize: true})
-	return NewRootFromPlan(p, children, onResult)
-}
-
 // NewRootFromPlan builds a root around an already-wrapped execution plan,
 // taking ownership of it. The plan's Optimize flag governs how future deltas
 // place: it must match the flag the groups were analyzed under, or delta
@@ -103,21 +94,9 @@ func (r *Root) Handle(m *message.Message) error {
 			}
 		}
 	case message.KindHello, message.KindHeartbeat, message.KindGoodbye:
-	case message.KindAddQuery:
-		for _, q := range m.Queries {
-			if err := r.AddQuery(q); err != nil {
-				return err
-			}
-		}
-	case message.KindRemoveQuery:
-		return r.RemoveQuery(m.QueryID)
-	case message.KindPlanDelta:
-		for _, d := range m.Deltas {
-			if err := r.Apply(d); err != nil {
-				return err
-			}
-		}
 	default:
+		// Control kinds too: the catalog changes only through Apply, whose
+		// callers broadcast the delta down the tree; a child cannot.
 		return fmt.Errorf("node: root cannot handle message kind %d", m.Kind)
 	}
 	return nil
@@ -149,8 +128,8 @@ func (r *Root) Watermark() int64 { return r.wm }
 
 // Apply applies one plan delta to every stage of the root: the authoritative
 // history, the RootOnly engine, and the assembler's distributed groups. It is
-// the single mutation path — AddQuery and RemoveQuery mint deltas and funnel
-// through here, as do deltas applied by the in-process Cluster.
+// the single mutation path: RootServer and the in-process Cluster mint
+// deltas against History().Plan() and apply them here.
 func (r *Root) Apply(d plan.Delta) error {
 	if d.Kind == plan.DeltaAddQuery && d.Query.AnyKey {
 		return fmt.Errorf("node: group-by templates (key=*) are not supported in decentralized deployments")
@@ -169,18 +148,6 @@ func (r *Root) Apply(d plan.Delta) error {
 		}
 	}
 	return nil
-}
-
-// AddQuery registers a query at runtime through a plan delta. Servers that
-// need the minted delta (to broadcast it) mint it themselves against
-// History().Plan() and call Apply.
-func (r *Root) AddQuery(q query.Query) error {
-	return r.Apply(r.hist.Plan().AddDelta(q))
-}
-
-// RemoveQuery unregisters a running query by id.
-func (r *Root) RemoveQuery(id uint64) error {
-	return r.Apply(r.hist.Plan().RemoveDelta(id))
 }
 
 // AddChild and RemoveChild adjust the expected child set at runtime (§3.2).

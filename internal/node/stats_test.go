@@ -50,12 +50,12 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 		t.Fatalf("reference engine produced no activity: %+v", want.Counters)
 	}
 
-	root, err := ServeRoot("127.0.0.1:0", queries, 1, 10*time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 10*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer root.Close()
-	inter, err := ServeIntermediate("127.0.0.1:0", root.Addr(), 1001, 3, 10*time.Second, nil)
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 3, 10*time.Second, DialOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestClusterStatsMatchSingleEngine(t *testing.T) {
 	errs := make(chan error, 3)
 	for li := 0; li < 3; li++ {
 		go func(li int) {
-			errs <- RunLocalTCP(inter.Addr(), uint32(1+li), 64, nil, func(l *LocalSession) error {
+			errs <- RunLocalTCPOptions(inter.Addr(), uint32(1+li), 64, DialOptions{}, func(l *LocalSession) error {
 				for i := li; i < len(evs); i += 3 {
 					if err := l.Process(evs[i : i+1]); err != nil {
 						return err
@@ -146,7 +146,7 @@ func statsDiff(want, got *telemetry.Snapshot, groups []*query.Group) string {
 func TestFaultStatsSurviveDeadChild(t *testing.T) {
 	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
 	queries[0].ID = 1
-	root, err := ServeRoot("127.0.0.1:0", queries, 2, 30*time.Second, nil, func(core.Result) {})
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 2, 30*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,5 +239,62 @@ func TestFaultStatsSurviveDeadChild(t *testing.T) {
 	close(release)
 	if err := <-survivorErr; err != nil {
 		t.Fatalf("survivor: %v", err)
+	}
+}
+
+// TestIntermediateReportsChildLag: an intermediate keeps its children's
+// heartbeat digests exactly as the root does, so a stats pull at the root
+// carries the lag gauges of a local one tier down.
+func TestIntermediateReportsChildLag(t *testing.T) {
+	queries := []query.Query{query.MustParse("tumbling(100ms) sum key=0")}
+	queries[0].ID = 1
+	root, err := ServeRootOptions("127.0.0.1:0", queries, 1, 10*time.Second, RootServeOptions{OnResult: func(core.Result) {}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	inter, err := ServeIntermediateOptions("127.0.0.1:0", root.Addr(), 1001, 1, 10*time.Second, DialOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	release := make(chan struct{})
+	localErr := make(chan error, 1)
+	go func() {
+		localErr <- RunLocalTCPOptions(inter.Addr(), 7, 64, DialOptions{Heartbeat: 50 * time.Millisecond}, func(l *LocalSession) error {
+			if err := l.Process(stepEvents(0, 1000, 10)); err != nil {
+				return err
+			}
+			if err := l.AdvanceTo(1000); err != nil {
+				return err
+			}
+			<-release // idle: heartbeats carry the digest
+			return nil
+		})
+	}()
+
+	// Heartbeats only flow once a link has idled a full period, and every
+	// stats pull is traffic, so wait for the digest before pulling.
+	waitUntil(t, 10*time.Second, "a heartbeat digest at the intermediate", func() bool {
+		inter.mu.Lock()
+		defer inter.mu.Unlock()
+		return inter.loads[7] != nil
+	})
+	got, err := FetchStats(root.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := got.Gauges["node.7.watermark_lag"]; !ok {
+		t.Errorf("merged snapshot misses gauge node.7.watermark_lag (gauges: %v)", got.Gauges)
+	}
+
+	close(release)
+	if err := <-localErr; err != nil {
+		t.Fatalf("local: %v", err)
+	}
+	if err := inter.Wait(); err != nil {
+		t.Fatalf("inter.Wait: %v", err)
+	}
+	if err := root.Wait(); err != nil {
+		t.Fatalf("root.Wait: %v", err)
 	}
 }

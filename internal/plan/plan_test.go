@@ -394,3 +394,34 @@ func TestDescribeShape(t *testing.T) {
 		}
 	}
 }
+
+// zeroLengthPlan is a valid tumbling plan whose member's window length was
+// zeroed after planning: the shape of a corrupt handshake frame that, once
+// decoded, makes an engine divide by zero.
+func zeroLengthPlan(tb testing.TB) *Plan {
+	tb.Helper()
+	qq, err := query.Parse("tumbling(1s) sum key=0")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qq.ID = 1
+	p, err := New([]query.Query{qq}, Options{Decentralized: true})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p.Groups[0].Queries[0].Length = 0
+	return p
+}
+
+// TestWireRejectsInvalidQueries: every query read off the wire — plan
+// members, templates, add-query deltas — passes query validation, so a
+// corrupt frame errors at decode instead of crashing the engine it feeds.
+func TestWireRejectsInvalidQueries(t *testing.T) {
+	if _, _, err := DecodePlan(AppendPlan(nil, zeroLengthPlan(t))); err == nil {
+		t.Error("plan with a zero-length tumbling member decoded")
+	}
+	noFuncs := Delta{Kind: DeltaAddQuery, Epoch: 1, Query: query.Query{ID: 9, Pred: query.All(), Type: query.Tumbling, Length: 1000}}
+	if _, _, err := DecodeDelta(AppendDelta(nil, noFuncs)); err == nil {
+		t.Error("add-query delta without aggregation functions decoded")
+	}
+}

@@ -36,7 +36,8 @@ func AppendQuery(buf []byte, q query.Query) []byte {
 	return buf
 }
 
-// DecodeQuery reads one query, returning the remaining buffer.
+// DecodeQuery reads one query, returning the remaining buffer. Like every
+// decoder here it rejects queries that fail query.Query.Validate.
 func DecodeQuery(buf []byte) (query.Query, []byte, error) {
 	r := &wireReader{buf: buf}
 	q := r.query()
@@ -276,6 +277,13 @@ func (r *wireReader) query() query.Query {
 		f := operator.Func(r.u8())
 		arg := r.f64()
 		q.Funcs = append(q.Funcs, operator.FuncSpec{Func: f, Arg: arg})
+	}
+	if r.err == nil {
+		// Queries arrive off a socket: reject what no parser accepts (a zero
+		// window length, no functions) before an engine divides by it.
+		if err := q.Validate(); err != nil {
+			r.err = fmt.Errorf("plan: invalid query on the wire: %w", err)
+		}
 	}
 	return q
 }

@@ -51,6 +51,7 @@ func FuzzDecodePlan(f *testing.F) {
 		f.Add(buf)
 		f.Add(buf[:len(buf)/2])
 	}
+	f.Add(AppendPlan(nil, zeroLengthPlan(f)))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, buf []byte) {
 		p, _, err := DecodePlan(buf)
